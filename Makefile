@@ -1,6 +1,6 @@
 # Convenience targets for the XSQL reproduction.
 
-.PHONY: install test test-all fuzz-smoke fuzz fuzz-concurrent storage-smoke bench bench-analyze bench-scale bench-storage report examples all
+.PHONY: install test test-all fuzz-smoke fuzz fuzz-concurrent storage-smoke perfbench-test bench bench-analyze bench-scale bench-storage report examples all
 
 install:
 	# `pip install -e .` needs the `wheel` package for PEP 660 builds;
@@ -55,6 +55,11 @@ fuzz:
 storage-smoke:
 	PYTHONPATH=src python -m repro.storage.smoke --batches 24 \
 		--out recovery-smoke.log
+
+# The repo benchmark's own tests (perfbench/, see perfbench/README.md):
+# workload set-up, stationarity and result-line checks at 1k objects.
+perfbench-test:
+	PYTHONPATH=src python -m pytest perfbench/tests -q
 
 bench:
 	pytest benchmarks/ --benchmark-only

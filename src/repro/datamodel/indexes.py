@@ -86,14 +86,11 @@ class AttributeIndexes:
         for value in new_values - old_values:
             table.setdefault(value, set()).add(key)
 
-    def note_purge(self, owner: Oid) -> None:
-        for table in self._entries.values():
-            for value in list(table):
-                table[value] = {
-                    entry for entry in table[value] if entry[0] != owner
-                }
-                if not table[value]:
-                    table.pop(value, None)
+    def note_purge(self, owner: Oid, cells) -> None:
+        """Drop the entries of a purged object's ``((method, args), cell)``
+        pairs — exactly what its stored cells put in, nothing scanned."""
+        for (method, args), cell in cells:
+            self.note_write(owner, method, args, cell.as_set(), frozenset())
 
     # ------------------------------------------------------------------
     # lookup

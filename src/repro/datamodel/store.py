@@ -421,7 +421,7 @@ class ObjectStore:
                 self._direct_extents.get(cls, set()).discard(obj)
                 self.statistics.note_membership(cls, -1)
             self._known.discard(obj)
-            self._indexes.note_purge(obj)
+            self._indexes.note_purge(obj, cells)
             for sink in self._sinks:
                 sink.note_purge(obj, memberships, cells)
 

@@ -6,13 +6,13 @@ The CI gate behind the storage engine's durability claim::
 
 The harness builds a WAL-backed session and commits ``--batches``
 journal batches of deterministic mutations (schema DDL, object churn,
-attribute updates, purges, index toggles), snapshotting the expected
-store state after every commit.  It then simulates crashes by copying
-the database directory and truncating the WAL at several byte offsets —
-including mid-record — and for each crash point recovers the engine,
-decodes the store, and asserts the survivor equals **exactly** the
-state after some prefix of the committed batches (never a torn
-half-batch).  The deepest survivor also answers a small query battery
+attribute updates, purges, index toggles), recording the expected
+store state (:func:`canonical`) after every commit.  It then simulates
+crashes by copying the database directory and truncating the WAL at
+several byte offsets — including mid-record — and for each crash point
+recovers the engine, decodes the store, and asserts the survivor
+equals **exactly** the state after some prefix of the committed
+batches (never a torn half-batch).  The deepest survivor also answers a small query battery
 against a never-crashed reference session.
 
 Every crash point appends its recovery report to ``--out``; the process
@@ -22,12 +22,11 @@ exits non-zero on the first divergence.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import sys
 import tempfile
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.oid import Atom
 
@@ -38,20 +37,52 @@ QUERIES = (
 )
 
 
-def canonical(store) -> str:
-    """Order-insensitive canonical form of a store's serialized state."""
-    from repro.datamodel.serialize import store_to_dict
+def canonical(store) -> Dict[str, List[str]]:
+    """Order-insensitive canonical form of everything a store persists.
 
-    payload, _report = store_to_dict(store)
-
-    def norm(x):
-        if isinstance(x, list):
-            return sorted(json.dumps(norm(i), sort_keys=True) for i in x)
-        if isinstance(x, dict):
-            return {k: norm(v) for k, v in x.items()}
-        return x
-
-    return json.dumps(norm(payload), sort_keys=True)
+    Built from public store reads only — classes, edges, signatures,
+    memberships, cells, relations, resolutions and indexes — never from
+    the codec, so it is an independent reference for codec round trips.
+    Every fact is rendered with ``repr`` and each kind is sorted.
+    """
+    hierarchy = store.hierarchy
+    classes = hierarchy.classes()
+    methods = set(store.method_names())
+    memberships, cells = [], []
+    for record in store.iter_records():
+        obj = record.oid
+        memberships += [(obj, cls) for cls in store.explicit_classes_of(obj)]
+        for (method, args), cell in record.entries():
+            methods.add(method)
+            values = sorted(map(repr, cell.as_set()))
+            cells.append((obj, method, args, cell.set_valued, values))
+    resolutions = [
+        (cls, method, use)
+        for cls in classes
+        for method in methods
+        if (use := store.resolver.resolution_for((cls,), method)) is not None
+    ]
+    facts = {
+        "options": [
+            (store.catalogue.strict_method_namespace, store.validate_values)
+        ],
+        "classes": classes,
+        "edges": hierarchy.edges(),
+        "signatures": [
+            (cls, sig) for cls in classes
+            for sig in store.declared_signatures(cls)
+        ],
+        "objects": [record.oid for record in store.iter_records()],
+        "memberships": memberships,
+        "cells": cells,
+        "relations": [
+            (name, relation.column_names, relation.sorted_rows())
+            for name, relation in store.relations().items()
+        ],
+        "resolutions": resolutions,
+        "indexes": store.indexed_methods(),
+    }
+    return {kind: sorted(map(repr, items)) for kind, items in facts.items()}
 
 
 def apply_batch(store, i: int) -> None:
@@ -85,7 +116,7 @@ def _query_rows(session, source: str):
     return sorted(repr(row) for row in session.query(source).rows())
 
 
-def build_database(root: str, batches: int) -> List[str]:
+def build_database(root: str, batches: int) -> List[Dict[str, List[str]]]:
     """Write *batches* journal batches; return expected states per LSN."""
     from repro.datamodel.store import ObjectStore
     from repro.xsql.session import Session
@@ -106,7 +137,11 @@ def build_database(root: str, batches: int) -> List[str]:
 
 
 def crash_and_recover(
-    root: str, scratch: str, cut: int, states: List[str], log: List[str]
+    root: str,
+    scratch: str,
+    cut: int,
+    states: List[Dict[str, List[str]]],
+    log: List[str],
 ) -> Optional[object]:
     """Copy the db, truncate its WAL at *cut*, recover, check the prefix."""
     from repro.storage import LogStructuredEngine, decode_store

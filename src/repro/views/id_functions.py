@@ -66,8 +66,8 @@ class IdFunctionRegistry:
     def rebuild_from_store(cls, store) -> "IdFunctionRegistry":
         """Reconstruct the id-function table from a store's oids.
 
-        A restored snapshot carries :class:`FuncOid` values inside the
-        object graph but no registry; reusing the pre-snapshot registry
+        A decoded store carries :class:`FuncOid` values inside the
+        object graph but no registry; reusing the pre-swap registry
         would let ``fresh_functor`` collide with a restored ``qfN`` (two
         unrelated creating queries sharing one functor — two descriptions
         of "the same" object, §4.1).  So: scan every known oid, re-record

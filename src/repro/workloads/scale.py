@@ -26,8 +26,9 @@ Everything is reproducible from ``(seed, spec)``: one
 :class:`random.Random` drives the whole build, oid names are dense
 (``s_p0``, ``s_v17``, ...), and :meth:`ScaleSpec.as_dict` embeds the full
 spec in benchmark artifacts so a run is self-describing.  Generated
-populations round-trip through :mod:`repro.datamodel.serialize`
-bit-identically (``tests/workloads/test_scale.py`` holds them to it).
+populations round-trip through the KV codec (:mod:`repro.storage.codec`)
+to an equal canonical state (``tests/workloads/test_scale.py`` holds
+them to it).
 """
 
 from __future__ import annotations

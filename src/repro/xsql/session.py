@@ -30,10 +30,6 @@ Persistence is a session lifecycle (:mod:`repro.storage`)::
     session.checkpoint()                         # compact + durable point
     session.close()                              # flush and release
 
-``Session.snapshot()``/``restore()`` and the JSON
-``save_store``/``load_store`` remain as thin deprecated aliases of the
-same machinery (see the migration table in ``docs/LANGUAGE.md``).
-
 The pre-pipeline spellings ``session.query(text, optimize=True)`` and
 ``session.naive(text)`` have been removed; use ``plan="greedy"`` /
 ``engine="naive"`` (see the migration table in ``docs/LANGUAGE.md``).
@@ -393,13 +389,11 @@ class Session:
     ) -> "Session":
         """Open a session against a storage backend.
 
-        The redesigned persistence entry point (successor of
-        ``save_store``/``load_store`` and ``snapshot()``/``restore()``)::
+        The persistence entry point::
 
             Session.open()                     # dict backend, no disk
             Session.open("company.db")         # WAL-backed log engine
             Session.open(engine="memory")      # KV mirror, no disk
-            Session.open("s.json", engine="dict")   # JSON checkpoints
 
         ``engine`` is a backend name from
         :data:`repro.storage.BACKENDS`, an already-constructed
@@ -408,8 +402,8 @@ class Session:
         Alternatively pass a full
         :class:`~repro.storage.StorageOptions` as ``storage=``.
 
-        If the backend already holds data (a WAL/checkpoint to recover,
-        an existing JSON snapshot), the session adopts that state;
+        If the backend already holds data (a WAL/checkpoint to recover),
+        the session adopts that state;
         otherwise the engine is seeded from the fresh store.  Remaining
         kwargs go to the :class:`Session` constructor.
         """
@@ -447,8 +441,6 @@ class Session:
         store — so ``.open`` on an empty target carries the database
         over, and on a populated one switches to it.
         """
-        import os
-
         from repro.storage import StoreJournal, encode_store, make_engine
 
         options = options.validate()
@@ -460,12 +452,6 @@ class Session:
         )
         self._engine = engine
         if engine is None:
-            # Historical dict backend: an existing JSON snapshot at the
-            # path is the state to adopt; otherwise start empty.
-            if options.path and os.path.exists(options.path):
-                from repro.datamodel.serialize import load_store
-
-                self.replace_store(load_store(options.path))
             return
         if len(engine):
             # The engine holds recovered state: it is the truth.
@@ -498,19 +484,11 @@ class Session:
           :class:`~repro.storage.CommitStamp`.
         * ``memory`` backend — nothing to persist; returns the engine's
           last commit stamp.
-        * ``dict`` backend with a path — write the JSON snapshot there
-          (the ``save_store`` format); returns its
-          :class:`~repro.datamodel.serialize.SerializationReport`.
-        * ``dict`` backend without a path — returns the snapshot
-          payload dict (exactly :meth:`snapshot`).
+        * ``dict`` backend — nothing to persist; returns ``None``.
         """
         if self._engine is not None:
             return self._engine.checkpoint()
-        if self._storage_options is not None and self._storage_options.path:
-            from repro.datamodel.serialize import save_store
-
-            return save_store(self.store, self._storage_options.path)
-        return self.snapshot()
+        return None
 
     def close(self) -> None:
         """Flush and release the storage backend (idempotent).
@@ -552,55 +530,15 @@ class Session:
                 status["batches_committed"] = journal.batches_committed
         return status
 
-    # ------------------------------------------------------------------
-    # snapshots (poor man's transactions over the serialized state)
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Capture the stored database state (schema + data + relations).
-
-        .. deprecated::
-            Kept as a thin, warning-free alias; prefer the storage
-            lifecycle — :meth:`open` / :meth:`checkpoint` /
-            :meth:`close` — which adds incremental writes, WAL
-            durability, and crash recovery (``docs/LANGUAGE.md`` has the
-            migration table).
-
-        The paper's model has no transactions; snapshots give scripts and
-        tests a checkpoint/rollback primitive.  Computed method
-        implementations are not captured (see
-        :mod:`repro.datamodel.serialize`) and survive a restore untouched
-        only if re-installed by the caller.
-        """
-        from repro.datamodel.serialize import store_to_dict
-
-        payload, _report = store_to_dict(self.store)
-        return payload
-
-    def restore(self, payload: dict) -> None:
-        """Replace the session's database with a snapshot's contents.
-
-        .. deprecated::
-            Kept as a thin, warning-free alias; prefer
-            :meth:`open`-ing the saved state (see :meth:`snapshot`).
-
-        The id-function registry is rebuilt from the restored object
-        graph (not carried over from the pre-snapshot session), so ad-hoc
-        functor allocation resumes past every restored ``qfN`` instead of
-        colliding with it.
-        """
-        from repro.datamodel.serialize import store_from_dict
-
-        self.replace_store(store_from_dict(payload))
-
     def replace_store(self, store: ObjectStore) -> None:
         """Swap in a different store, resetting store-derived state.
 
         Rebuilds the id-function registry and the view manager from the
         new store and drops every cached compilation (cached typing and
         plans refer to the old schema).  Indexes enabled on the outgoing
-        store are re-enabled (back-filled) on the new one, so a
-        ``restore`` does not silently downgrade indexed lookups to scans.
+        store are re-enabled (back-filled) on the new one, so swapping in
+        a decoded store does not silently downgrade indexed lookups to
+        scans.
 
         With a storage engine attached, the engine is reset and
         re-seeded from the incoming store in one batch, and the journal
@@ -777,6 +715,9 @@ class SnapshotSession(Session):
         self.registry = base.registry
         self.views = ViewManager(self.store, self.registry)
         self._join_mode = base._join_mode
+        # Enabling an index is a write, which a pin rejects: the cost
+        # planner may use indexes here but never auto-enables one.
+        self._index_mode = "manual"
         self._base = base
 
     def close(self) -> None:

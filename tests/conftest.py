@@ -34,6 +34,22 @@ from repro.schema.university import (
 from repro.workloads.paper_db import populate_paper_database
 
 
+def kv_image(store):
+    """*store* encoded into a fresh in-memory KV engine: a rollback point."""
+    from repro.storage import MemoryEngine, encode_store
+
+    image = MemoryEngine()
+    encode_store(store, image)
+    return image
+
+
+def roll_back(session: Session, image) -> None:
+    """Replace *session*'s database with the state decoded from *image*."""
+    from repro.storage import decode_store
+
+    session.replace_store(decode_store(image))
+
+
 def make_paper_session() -> Session:
     session = Session()
     build_figure1_schema(session.store)

@@ -1,28 +1,31 @@
-"""Tests for store serialization (save/load round-trips)."""
+"""Store serialization: every persisted kind of fact survives the KV codec.
 
-import json
+The ordered-KV codec (:mod:`repro.storage.codec`) is the one format a
+stored database has; these round trips hold it to the data model's
+coverage — hierarchy, signatures, memberships, cells with id-term
+arguments, relations, resolutions, indexes and store options.
+"""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.datamodel import ObjectStore, PythonMethod
-from repro.datamodel.serialize import (
-    SerializationError,
-    load_store,
-    save_store,
-    store_from_dict,
-    store_to_dict,
-)
 from repro.oid import Atom, FuncOid, Value
+from repro.storage import (
+    LogStructuredEngine,
+    MemoryEngine,
+    StorageError,
+    decode_store,
+    encode_store,
+)
+from repro.storage.wal import CKP_MAGIC
 from repro.workloads.generator import WorkloadConfig, generate_database
-from tests.conftest import make_paper_session
+from tests.conftest import kv_image, make_paper_session
 
 
 def roundtrip(store: ObjectStore) -> ObjectStore:
-    payload, _report = store_to_dict(store)
-    # push through real JSON so only JSON-expressible state survives.
-    return store_from_dict(json.loads(json.dumps(payload)))
+    return decode_store(kv_image(store))
 
 
 class TestRoundTrip:
@@ -82,7 +85,7 @@ class TestRoundTrip:
         store.set_attr(Atom("A"), "X", 1)
         store.set_attr(Atom("B"), "X", 2)
         store.resolve_inheritance("C", "X", "B")
-        obj = store.create_object(Atom("o"), ["C"])
+        store.create_object(Atom("o"), ["C"])
         loaded = roundtrip(store)
         assert loaded.invoke(Atom("o"), "X") == frozenset({Value(2)})
 
@@ -105,7 +108,7 @@ class TestRoundTrip:
 class TestReportAndErrors:
     def test_report_counts(self):
         store = make_paper_session().store
-        _payload, report = store_to_dict(store)
+        report = encode_store(store, MemoryEngine())
         assert report.objects > 30
         assert report.cells > 80
         assert report.classes >= 16
@@ -116,23 +119,33 @@ class TestReportAndErrors:
         store.define_method(
             "P", PythonMethod(name=Atom("M"), fn=lambda s, o: Value(1))
         )
-        _payload, report = store_to_dict(store)
+        report = encode_store(store, MemoryEngine())
         assert any("implementation" in entry for entry in report.skipped)
 
-    def test_bad_format_rejected(self):
-        with pytest.raises(SerializationError):
-            store_from_dict({"format": "something-else"})
+    def test_bad_format_rejected(self, tmp_path):
+        (tmp_path / "wal.log").write_bytes(b'{"format": "xsql-store"}')
+        with pytest.raises(StorageError):
+            LogStructuredEngine(str(tmp_path), sync="never")
 
-    def test_bad_version_rejected(self):
-        with pytest.raises(SerializationError):
-            store_from_dict({"format": "xsql-store", "version": 99})
+    def test_bad_version_rejected(self, tmp_path):
+        # A checkpoint image of an older format version.
+        old_magic = CKP_MAGIC[:-1] + b"1"
+        (tmp_path / "checkpoint.snap").write_bytes(old_magic + b"\0" * 8)
+        with pytest.raises(StorageError):
+            LogStructuredEngine(str(tmp_path), sync="never")
 
     def test_file_roundtrip(self, tmp_path):
         store = make_paper_session().store
-        path = str(tmp_path / "db.json")
-        report = save_store(store, path)
+        engine = LogStructuredEngine(str(tmp_path), sync="never")
+        report = encode_store(store, engine)
         assert report.objects > 0
-        loaded = load_store(path)
+        engine.checkpoint()
+        engine.close()
+        reopened = LogStructuredEngine(str(tmp_path), sync="never")
+        try:
+            loaded = decode_store(reopened)
+        finally:
+            reopened.close()
         assert loaded.known_objects() == store.known_objects()
 
 
@@ -143,7 +156,7 @@ class TestReportAndErrors:
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_synthetic_roundtrip_property(seed, n_people):
-    """Property: any generated database survives JSON round-tripping."""
+    """Property: any generated database survives the codec round trip."""
     original = generate_database(
         WorkloadConfig(n_people=n_people, seed=seed)
     )

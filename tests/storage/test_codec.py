@@ -1,10 +1,7 @@
 """Codec: key packing, cell bodies, journal mirroring, store round-trip."""
 
-import json
-
 import pytest
 
-from repro.datamodel.serialize import store_to_dict
 from repro.datamodel.store import ObjectStore
 from repro.oid import Atom, FuncOid, Value
 from repro.storage import (
@@ -17,21 +14,13 @@ from repro.storage import (
     prefix_range,
     unpack_key,
 )
-from repro.storage.codec import decode_cell_value, encode_cell_value
-
-
-def canonical(store):
-    """Order-insensitive canonical form of a store's serialized state."""
-    payload, _report = store_to_dict(store)
-
-    def norm(x):
-        if isinstance(x, list):
-            return sorted(json.dumps(norm(i), sort_keys=True) for i in x)
-        if isinstance(x, dict):
-            return {k: norm(v) for k, v in x.items()}
-        return x
-
-    return json.dumps(norm(payload), sort_keys=True)
+from repro.storage.codec import (
+    decode_cell_value,
+    decode_oid,
+    encode_cell_value,
+    encode_oid,
+)
+from repro.storage.smoke import canonical
 
 
 class TestKeyPacking:
@@ -111,6 +100,47 @@ class TestCellValues:
         _s, values = decode_cell_value(encode_cell_value(True, [term]))
         assert values == [term]
 
+    # The on-disk cell bodies of WAL records and checkpoint images: any
+    # change here breaks every database written before it.
+    @pytest.mark.parametrize(
+        "scalar, values, body",
+        [
+            (True, [Atom("mary")], b'{"s": true, "v": [{"a": "mary"}]}'),
+            (True, [Value("Mary")], b'{"s": true, "v": [{"v": "Mary"}]}'),
+            (True, [Value(31)], b'{"s": true, "v": [{"v": 31}]}'),
+            (True, [Value(2.5)], b'{"s": true, "v": [{"v": 2.5}]}'),
+            (True, [Value(True)], b'{"s": true, "v": [{"v": true}]}'),
+            (
+                True,
+                [FuncOid("qf1", (Atom("acme"), FuncOid("V", (Value(3),))))],
+                b'{"s": true, "v": [{"args": [{"a": "acme"}, '
+                b'{"args": [{"v": 3}], "f": "V"}], "f": "qf1"}]}',
+            ),
+            (
+                False,
+                [Atom("b"), Value(7), Atom("a")],
+                b'{"s": false, "v": [{"v": 7}, {"a": "a"}, {"a": "b"}]}',
+            ),
+        ],
+        ids=["atom", "str", "int", "float", "bool", "nested-func", "set"],
+    )
+    def test_bytes_are_pinned(self, scalar, values, body):
+        assert encode_cell_value(scalar, values) == body
+        assert decode_cell_value(body) == (
+            scalar, sorted(values, key=str)
+        )
+
+    @pytest.mark.parametrize(
+        "data", [{}, {"q": 1}, ["a", "x"], "x", None]
+    )
+    def test_malformed_oid_raises(self, data):
+        with pytest.raises(CodecError):
+            decode_oid(data)
+
+    def test_unencodable_oid_raises(self):
+        with pytest.raises(CodecError):
+            encode_oid(object())
+
 
 def build_sample_store():
     store = ObjectStore()
@@ -148,6 +178,31 @@ class TestStoreRoundTrip:
         assert report.relations == 1
         back = decode_store(engine)
         assert canonical(back) == canonical(store)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda s: s.declare_class("Robot"),
+            lambda s: s.declare_signature("Person", "Shoe", "Numeral"),
+            lambda s: s.add_instance(Atom("bob"), "Person"),
+            lambda s: s.set_attr(Atom("mary"), "Age", 32),
+            lambda s: s.set_attr_set(Atom("mary"), "Children", []),
+            lambda s: s.create_object(Atom("sue")),
+            lambda s: s.insert_tuple("Likes", [Atom("bob"), Atom("mary")]),
+            lambda s: s.resolve_inheritance("TA", "Age", "Student"),
+            lambda s: s.enable_index("Age"),
+            lambda s: setattr(s, "validate_values", True),
+        ],
+        ids=[
+            "class", "signature", "membership", "cell", "set-cell",
+            "object", "tuple", "resolution", "index", "options",
+        ],
+    )
+    def test_canonical_sees_every_fact_kind(self, mutate):
+        store = build_sample_store()
+        before = canonical(store)
+        mutate(store)
+        assert canonical(store) != before
 
     def test_round_trip_preserves_indexes(self):
         store = build_sample_store()

@@ -1,9 +1,5 @@
 """Session.open/checkpoint/close lifecycle, options, and cache hygiene."""
 
-import json
-import os
-import warnings
-
 import pytest
 
 from repro.oid import Atom
@@ -15,6 +11,7 @@ from repro.storage import (
     make_engine,
 )
 from repro.xsql.session import Session
+from tests.conftest import kv_image, roll_back
 
 
 def load_people(session):
@@ -63,12 +60,22 @@ class TestStorageOptions:
             ("memory", "memory", None),
             ("log:/tmp/db", "log", "/tmp/db"),
             ("/tmp/db", "log", "/tmp/db"),
-            ("dict:/tmp/s.json", "dict", "/tmp/s.json"),
         ],
     )
     def test_parse(self, spec, backend, path):
         options = StorageOptions.parse(spec)
         assert (options.backend, options.path) == (backend, path)
+
+    def test_dict_backend_rejects_a_path(self, tmp_path):
+        # The dict backend does not persist, so every spelling that
+        # would give it a path is an error, not a silently unused path.
+        path = str(tmp_path / "s.json")
+        with pytest.raises(StorageError):
+            StorageOptions(backend="dict", path=path).validate()
+        with pytest.raises(StorageError):
+            StorageOptions.parse(f"dict:{path}")
+        with pytest.raises(StorageError):
+            Session.open(path, engine="dict")
 
     def test_parse_empty_rejected(self):
         with pytest.raises(StorageError):
@@ -138,18 +145,11 @@ class TestLifecycle:
         assert status["batches_committed"] > 0
         session.close()
 
-    def test_dict_backend_with_path_checkpoints_json(self, tmp_path):
-        path = str(tmp_path / "s.json")
-        session = Session.open(path, engine="dict")
+    def test_checkpoint_on_dict_backend_returns_none(self):
+        session = Session.open()
         load_people(session)
-        session.checkpoint()
-        assert os.path.exists(path)
-        payload = json.load(open(path))
-        assert "classes" in payload or payload  # save_store format
-        session.close()
-
-        adopted = Session.open(path, engine="dict")
-        assert names_over_40(adopted) == ["Bob", "Sue"]
+        assert session.checkpoint() is None
+        assert names_over_40(session) == ["Bob", "Sue"]
 
     def test_open_adopts_engine_instance(self, tmp_path):
         path = str(tmp_path / "db")
@@ -224,36 +224,9 @@ class TestLifecycle:
         assert names_over_40(session) == ["Bob", "Sue"]
 
 
-class TestDeprecatedAliases:
-    def test_snapshot_restore_emit_no_warnings(self):
-        session = Session.open()
-        load_people(session)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            payload = session.snapshot()
-            session.restore(payload)
-        assert names_over_40(session) == ["Bob", "Sue"]
-
-    def test_save_store_load_store_emit_no_warnings(self, tmp_path):
-        from repro.datamodel.serialize import load_store, save_store
-
-        session = Session.open()
-        load_people(session)
-        path = str(tmp_path / "s.json")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            save_store(session.store, path)
-            restored = load_store(path)
-        assert restored.is_instance(Atom("mary"), "Person")
-
-    def test_checkpoint_without_engine_equals_snapshot(self):
-        session = Session.open()
-        load_people(session)
-        assert session.checkpoint() == session.snapshot()
-
-
 class TestRestoreAfterCheckpoint:
-    """restore() after checkpoint(): indexes carry, caches settle once."""
+    """Rolling back to a KV image after checkpoint(): indexes carry,
+    caches settle once."""
 
     def make_session(self, tmp_path):
         session = Session.open(str(tmp_path / "db"), sync="never")
@@ -266,9 +239,9 @@ class TestRestoreAfterCheckpoint:
 
     def test_indexes_survive_restore(self, tmp_path):
         session = self.make_session(tmp_path)
-        payload = session.snapshot()
+        image = kv_image(session.store)
         session.checkpoint()
-        session.restore(payload)
+        roll_back(session, image)
         assert "Age" in session.indexes()
         assert names_over_40(session) == ["Bob", "Sue"]
         session.close()
@@ -280,10 +253,10 @@ class TestRestoreAfterCheckpoint:
         session.query(query)
         assert self.counters(session).get("cache.hit", 0) >= 1
 
-        payload = session.snapshot()
+        image = kv_image(session.store)
         session.checkpoint()
         before = self.counters(session)
-        session.restore(payload)
+        roll_back(session, image)
 
         session.query(query)  # one fresh compile...
         session.query(query)  # ...then hits again
@@ -319,10 +292,10 @@ class TestRestoreAfterCheckpoint:
         """The store swap itself reaches the WAL and survives reopen."""
         path = str(tmp_path / "db")
         session = self.make_session(tmp_path)
-        payload = session.snapshot()
+        image = kv_image(session.store)
         store = session.store
         store.set_attr(Atom("mary"), "Age", 99)
-        session.restore(payload)  # roll the change back
+        roll_back(session, image)  # roll the change back
         session.close()
 
         reopened = Session.open(path, sync="never")

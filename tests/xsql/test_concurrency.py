@@ -88,6 +88,27 @@ class TestSnapshotSession:
         with base.snapshot_view() as snap:
             assert snap.query("SELECT X.AName FROM Adults X").rows()
 
+    def test_pinned_cost_planned_read_never_enables_an_index(self):
+        # At this size the cost planner would auto-enable a Name index
+        # for the selector; a pin cannot write, so it must plan without.
+        from repro.workloads.scale import ScaleSpec, generate_scaled
+
+        base = Session(generate_scaled(ScaleSpec(n_objects=2000)))
+        text = "SELECT X FROM Person X WHERE X.Name['P7']"
+        with base.snapshot_view() as snap:
+            base.store.set_attr(Atom("s_p7"), "Name", "Renamed")
+            base.store.set_attr(Atom("s_p8"), "Name", "P7")
+            assert snap.query(text, plan="cost").rows() == frozenset(
+                {(Atom("s_p7"),)}
+            )
+            assert base.query(text, plan="cost").rows() == frozenset(
+                {(Atom("s_p8"),)}
+            )
+            assert snap.query(text, plan="cost").rows() == frozenset(
+                {(Atom("s_p7"),)}
+            )
+        assert base.indexes() == ["Name"]
+
 
 class TestWritersNeverBlockReaders:
     def test_reader_iterates_while_writer_commits_1000_mutations(self):

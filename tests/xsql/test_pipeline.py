@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import QueryError
 from repro.xsql.pipeline import ENGINES, PLAN_MODES, CompiledQuery
-from tests.conftest import names
+from tests.conftest import kv_image, names, roll_back
 
 STRICT_QUERY = (
     "SELECT X FROM Vehicle X "
@@ -126,7 +126,7 @@ class TestStatementCache:
     def test_replace_store_clears_cache(self, paper_session):
         paper_session.query(FAMILY_QUERY)
         assert len(paper_session.pipeline) == 1
-        paper_session.restore(paper_session.snapshot())
+        roll_back(paper_session, kv_image(paper_session.store))
         assert len(paper_session.pipeline) == 0
 
 

@@ -112,17 +112,28 @@ class TestMetaCommands:
     def test_unknown_meta(self):
         assert "unknown meta-command" in drive(".frobnicate\n")
 
-    def test_save_and_load(self, tmp_path):
-        path = tmp_path / "dump.json"
+    def test_checkpoint_and_reopen_roll_back(self, tmp_path):
+        path = tmp_path / "db"
         output = drive(
-            f".save {path}\n"
+            f".open {path}\n"
+            f".checkpoint\n"
+            # Detach from the directory: the update below stays in memory.
+            f".open memory\n"
             f"UPDATE CLASS Division SET d_eng.Function = 'changed';\n"
-            f".load {path}\n"
+            f".open {path}\n"
             f"SELECT d_eng.Function;\n"
         )
-        assert "saved" in output and "loaded" in output
-        assert "'R&D'" in output  # the pre-save value came back
-        assert "'changed'" not in output.split("loaded")[1]
+        assert "checkpoint at lsn=" in output
+        reopened = output.split("backend=log")[-1]
+        assert "'R&D'" in reopened  # the checkpointed value came back
+        assert "'changed'" not in reopened
+
+    def test_checkpoint_on_dict_backend_persists_nothing(self):
+        assert "nothing to checkpoint" in drive(".checkpoint\n")
+
+    def test_json_dump_commands_are_gone(self, tmp_path):
+        output = drive(f".save {tmp_path / 'x.json'}\n.load x.json\n")
+        assert output.count("unknown meta-command") == 2
 
 
 class TestProcessEntryPoint:
